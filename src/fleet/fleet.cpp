@@ -118,7 +118,7 @@ struct FleetOrchestrator::ZoneState {
   tag::ColumnarTagSet columnar;    // same slice, slot words precomputed once
   std::vector<bool> absent;        // zone-local: true = stolen
   std::vector<tag::Tag> present;   // live tag state across attempts
-  math::UtrpPlan utrp_plan;        // solved once at submit (UTRP only)
+  math::UtrpPlan utrp_plan;        // sized at submit (UTRP only)
   double deadline_us = std::numeric_limits<double>::infinity();
   std::vector<wire::SessionOutcome> attempts_log;
   ZoneReport report;
@@ -225,11 +225,8 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
     absent[static_cast<std::size_t>(idx)] = true;
   }
 
-  // Eq. (3) solves cost tens of milliseconds; zones share the few distinct
-  // (n, m) shapes the near-equal split produces, so solve each shape once —
-  // here, sequentially, before any worker thread exists. Fused sizing
-  // (generalized Theorem 1) is deduped the same way.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, math::UtrpPlan> solved;
+  // Fused sizing (generalized Theorem 1) is solved once per distinct
+  // (n, m) shape the near-equal split produces.
   std::map<std::pair<std::uint64_t, std::uint64_t>, math::TrpPlan>
       fused_solved;
 
@@ -253,17 +250,9 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
     offset += n;
 
     if (s.protocol == Protocol::kUtrp) {
-      const std::pair<std::uint64_t, std::uint64_t> key{
-          n, s.plan.zones[z].tolerance};
-      auto it = solved.find(key);
-      if (it == solved.end()) {
-        it = solved
-                 .emplace(key, math::optimize_utrp_frame(
-                                   key.first, key.second, s.alpha,
-                                   s.comm_budget, s.slack_slots, s.model))
-                 .first;
-      }
-      state.utrp_plan = it->second;
+      state.utrp_plan = math::optimize_utrp_frame(
+          n, s.plan.zones[z].tolerance, s.alpha, s.comm_budget,
+          s.slack_slots, s.model);
     }
 
     if (k > 1) {

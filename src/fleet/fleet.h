@@ -327,9 +327,9 @@ class FleetOrchestrator {
   FleetOrchestrator(const FleetOrchestrator&) = delete;
   FleetOrchestrator& operator=(const FleetOrchestrator&) = delete;
 
-  /// Admits an inventory (or defers/rejects it under saturation). All
-  /// Eq. (3) solves happen here, sequentially, so worker threads never
-  /// race on the optimizer. Must not be called after run().
+  /// Admits an inventory (or defers/rejects it under saturation) and sizes
+  /// its zones' frames; UTRP plans come from the process-wide Eq. (3) memo.
+  /// Must not be called after run().
   Admission submit(InventorySpec spec);
 
   /// Executes every admitted zone and aggregates. Call once.

@@ -1,7 +1,12 @@
 #include "math/frame_optimizer.h"
 
+#include <bit>
 #include <cmath>
+#include <compare>
+#include <deque>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include "math/approximation.h"
@@ -67,9 +72,9 @@ double utrp_detection_probability(std::uint64_t n, std::uint64_t m,
   return detect;
 }
 
-UtrpPlan optimize_utrp_frame(std::uint64_t n, std::uint64_t m, double alpha,
-                             std::uint64_t c, std::uint32_t slack_slots,
-                             EmptySlotModel model) {
+UtrpPlan solve_utrp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                          std::uint64_t c, std::uint32_t slack_slots,
+                          EmptySlotModel model) {
   RFID_EXPECT(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
 
   const auto pred = [&](std::uint32_t f) {
@@ -90,6 +95,74 @@ UtrpPlan optimize_utrp_frame(std::uint64_t n, std::uint64_t m, double alpha,
   RFID_ENSURE(plan.predicted_detection > alpha,
               "slack must not lower the detection probability");
   return plan;
+}
+
+namespace {
+
+// Every input of solve_utrp_frame; alpha by bit pattern, so two alphas one
+// ulp apart are distinct keys.
+struct UtrpKey {
+  std::uint64_t n;
+  std::uint64_t m;
+  std::uint64_t alpha_bits;
+  std::uint64_t c;
+  std::uint32_t slack_slots;
+  EmptySlotModel model;
+  auto operator<=>(const UtrpKey&) const = default;
+};
+
+struct UtrpPlanMemo {
+  std::mutex mu;
+  std::map<UtrpKey, UtrpPlan> plans;
+  std::deque<UtrpKey> order;  // insertion order, for eviction
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+UtrpPlanMemo& utrp_plan_memo() {
+  static UtrpPlanMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+UtrpPlan optimize_utrp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                             std::uint64_t c, std::uint32_t slack_slots,
+                             EmptySlotModel model) {
+  RFID_EXPECT(n >= 1, "need at least one tag");
+  RFID_EXPECT(m + 1 <= n, "tolerance m must satisfy m + 1 <= n");
+  RFID_EXPECT(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+
+  const UtrpKey key{n, m, std::bit_cast<std::uint64_t>(alpha), c, slack_slots,
+                    model};
+  UtrpPlanMemo& memo = utrp_plan_memo();
+  {
+    const std::lock_guard lock(memo.mu);
+    if (const auto it = memo.plans.find(key); it != memo.plans.end()) {
+      ++memo.hits;
+      return it->second;
+    }
+    ++memo.misses;
+  }
+  // Unlocked: a cold solve takes milliseconds and must not stall hits on
+  // other threads. Two threads missing the same key both solve it and get
+  // the same plan; the first to finish inserts it.
+  const UtrpPlan plan = solve_utrp_frame(n, m, alpha, c, slack_slots, model);
+  const std::lock_guard lock(memo.mu);
+  if (memo.plans.try_emplace(key, plan).second) {
+    memo.order.push_back(key);
+    if (memo.order.size() > UtrpPlanMemoStats::kCapacity) {
+      memo.plans.erase(memo.order.front());
+      memo.order.pop_front();
+    }
+  }
+  return plan;
+}
+
+UtrpPlanMemoStats utrp_plan_memo_stats() {
+  UtrpPlanMemo& memo = utrp_plan_memo();
+  const std::lock_guard lock(memo.mu);
+  return UtrpPlanMemoStats{memo.hits, memo.misses, memo.plans.size()};
 }
 
 }  // namespace rfid::math

@@ -16,6 +16,7 @@
 // of c' is slightly optimistic; `slack_slots` reproduces that.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -56,10 +57,36 @@ inline constexpr std::uint32_t kMaxFrameSize = 1u << 24;
 
 /// Eq. (3): minimal f satisfying the accuracy constraint against a
 /// two-reader adversary with communication budget c, plus `slack_slots`.
+///
+/// The plan is a pure function of its arguments, so it is memoized
+/// process-wide, keyed by every argument (alpha by bit pattern): each
+/// (n, m, alpha, c, slack, model) is solved once per process, however many
+/// runs, epochs or servers size it. Safe to call from any thread; a cold
+/// solve runs outside the memo's lock. Arguments are checked on every call
+/// and a solve that throws is not cached. The memo holds at most
+/// UtrpPlanMemoStats::kCapacity plans, evicting the oldest.
 [[nodiscard]] UtrpPlan optimize_utrp_frame(
     std::uint64_t n, std::uint64_t m, double alpha, std::uint64_t c,
     std::uint32_t slack_slots = 8,
     EmptySlotModel model = EmptySlotModel::kPoissonApprox);
+
+/// The uncached Eq. (3) solve behind optimize_utrp_frame, bit-identical to
+/// it. Only the tests (as the memo's oracle) and the micro-benchmark (as the
+/// cold-solve timing target) call it; everything else sizes through
+/// optimize_utrp_frame.
+[[nodiscard]] UtrpPlan solve_utrp_frame(
+    std::uint64_t n, std::uint64_t m, double alpha, std::uint64_t c,
+    std::uint32_t slack_slots = 8,
+    EmptySlotModel model = EmptySlotModel::kPoissonApprox);
+
+/// Counters of optimize_utrp_frame's process-wide memo.
+struct UtrpPlanMemoStats {
+  static constexpr std::size_t kCapacity = 1024;  // most plans ever held
+  std::uint64_t hits = 0;     // calls answered from the memo
+  std::uint64_t misses = 0;   // calls that ran a cold solve
+  std::size_t entries = 0;    // plans held now, <= kCapacity
+};
+[[nodiscard]] UtrpPlanMemoStats utrp_plan_memo_stats();
 
 /// Finds the minimal f in [1, kMaxFrameSize] with pred(f) true, assuming
 /// pred is (effectively) monotone nondecreasing in f: exponential search for

@@ -87,9 +87,8 @@ class UtrpServer {
              hash::SlotHasher hasher = hash::SlotHasher{});
 
   /// Enrolls with a pre-solved Eq. (3) plan. The plan only depends on
-  /// (n, m, alpha, c, slack, model), so Monte-Carlo harnesses that rebuild
-  /// servers for thousands of same-shaped populations should solve once and
-  /// inject — the optimizer costs tens of milliseconds per solve.
+  /// (n, m, alpha, c, slack, model), so a caller that already holds it (a
+  /// Monte-Carlo harness, a fleet zone) injects it instead of re-sizing.
   UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
              std::uint64_t comm_budget, const math::UtrpPlan& plan,
              hash::SlotHasher hasher = hash::SlotHasher{});

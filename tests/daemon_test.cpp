@@ -18,6 +18,7 @@
 #include "hash/fnv.h"
 #include "fault/daemon_fault.h"
 #include "fault/fault.h"
+#include "math/frame_optimizer.h"
 #include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "storage/backend.h"
@@ -92,6 +93,29 @@ TEST(MonitorDaemon, QuietWarehouseStaysIntact) {
   for (std::size_t z = 0; z < 3; ++z) {
     EXPECT_TRUE(d.registry().active(server::GroupId{z}));
   }
+}
+
+TEST(MonitorDaemon, UtrpEpochsSolveEq3OncePerShape) {
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.protocol = fleet::Protocol::kUtrp;
+  warehouse.tolerance = 3;  // m = 1 in each zone: three zones, one shape
+  // A shape nothing earlier in this process sized, even under --gtest_repeat.
+  static int invocation = 0;
+  warehouse.alpha = 0.93 + 1e-6 * ++invocation;
+  daemon::DaemonConfig config = base_config(backend);
+  config.epochs = 4;
+
+  const std::uint64_t misses = math::utrp_plan_memo_stats().misses;
+  daemon::MonitorDaemon d(config, warehouse);
+  const daemon::DaemonResult result = d.run();
+
+  EXPECT_EQ(result.epochs_completed, 4u);
+  for (const daemon::EpochVerdict verdict : result.epoch_verdicts) {
+    EXPECT_EQ(verdict, daemon::EpochVerdict::kIntact);
+  }
+  // Every epoch re-sizes all three zones: one cold solve, then memo hits.
+  EXPECT_EQ(math::utrp_plan_memo_stats().misses, misses + 1);
 }
 
 TEST(MonitorDaemon, TheftLatchesOneViolationAlert) {

@@ -1,8 +1,15 @@
 // Tests for the Eq. (2) and Eq. (3) frame-size optimizers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "math/detection.h"
 #include "math/frame_optimizer.h"
@@ -13,7 +20,11 @@ using rfid::math::detection_probability;
 using rfid::math::EmptySlotModel;
 using rfid::math::optimize_trp_frame;
 using rfid::math::optimize_utrp_frame;
+using rfid::math::solve_utrp_frame;
 using rfid::math::utrp_detection_probability;
+using rfid::math::utrp_plan_memo_stats;
+using rfid::math::UtrpPlan;
+using rfid::math::UtrpPlanMemoStats;
 
 // ----------------------------------------------------------------- Eq. 2 --
 
@@ -190,6 +201,193 @@ TEST(UtrpOptimizer, ExpectedCprimeMatchesTheorem3) {
 TEST(UtrpOptimizer, RejectsBadParameters) {
   EXPECT_THROW((void)optimize_utrp_frame(0, 0, 0.95, 20), std::invalid_argument);
   EXPECT_THROW((void)optimize_utrp_frame(10, 1, 1.5, 20), std::invalid_argument);
+}
+
+// ------------------------------------------------------ Eq. 3 plan memo --
+
+// One sizing request: every input optimize_utrp_frame is keyed by.
+struct Shape {
+  std::uint64_t n;
+  std::uint64_t m;
+  double alpha;
+  std::uint64_t c;
+  std::uint32_t slack;
+  EmptySlotModel model;
+};
+
+UtrpPlan memoized(const Shape& s) {
+  return optimize_utrp_frame(s.n, s.m, s.alpha, s.c, s.slack, s.model);
+}
+
+UtrpPlan oracle(const Shape& s) {
+  return solve_utrp_frame(s.n, s.m, s.alpha, s.c, s.slack, s.model);
+}
+
+bool same_bits(const UtrpPlan& a, const UtrpPlan& b) {
+  return a.frame_size == b.frame_size && a.optimal_frame == b.optimal_frame &&
+         std::bit_cast<std::uint64_t>(a.predicted_detection) ==
+             std::bit_cast<std::uint64_t>(b.predicted_detection) &&
+         std::bit_cast<std::uint64_t>(a.expected_cprime) ==
+             std::bit_cast<std::uint64_t>(b.expected_cprime);
+}
+
+// A cheap shape no other test sizes: the i-th of a process-wide sequence.
+Shape fresh_shape() {
+  static std::uint64_t next = 0;
+  const double i = static_cast<double>(++next);
+  return Shape{8, 0, 0.5 + 1e-9 * i, 0, 0, EmptySlotModel::kPoissonApprox};
+}
+
+// Pushes every plan the memo holds out of it, so the next sizing of any
+// earlier shape is a miss whatever other tests ran in this process.
+void evict_all() {
+  for (std::size_t i = 0; i < UtrpPlanMemoStats::kCapacity; ++i) {
+    (void)memoized(fresh_shape());
+  }
+}
+
+void expect_memo_matches_oracle(EmptySlotModel model) {
+  evict_all();
+  for (const std::uint64_t n : {64u, 200u, 1000u}) {
+    for (const std::uint64_t m : {1u, 2u, 10u}) {
+      for (const double alpha : {0.9, 0.95, 0.99}) {
+        for (const std::uint64_t c : {0u, 20u, 100u}) {
+          for (const std::uint32_t slack : {0u, 8u}) {
+            const Shape s{n, m, alpha, c, slack, model};
+            const UtrpPlan truth = oracle(s);
+            const UtrpPlanMemoStats before = utrp_plan_memo_stats();
+            const UtrpPlan miss = memoized(s);
+            const UtrpPlanMemoStats mid = utrp_plan_memo_stats();
+            const UtrpPlan hit = memoized(s);
+            const UtrpPlanMemoStats after = utrp_plan_memo_stats();
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " m=" << m << " alpha=" << alpha
+                         << " c=" << c << " slack=" << slack);
+            EXPECT_TRUE(same_bits(miss, truth));
+            EXPECT_TRUE(same_bits(hit, truth));
+            EXPECT_EQ(mid.misses, before.misses + 1);
+            EXPECT_EQ(mid.hits, before.hits);
+            EXPECT_EQ(after.misses, mid.misses);
+            EXPECT_EQ(after.hits, mid.hits + 1);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(UtrpPlanMemo, MatchesOracleBitForBitPoisson) {
+  expect_memo_matches_oracle(EmptySlotModel::kPoissonApprox);
+}
+
+TEST(UtrpPlanMemo, MatchesOracleBitForBitExact) {
+  expect_memo_matches_oracle(EmptySlotModel::kExact);
+}
+
+TEST(UtrpPlanMemo, InvalidInputsThrowEveryTimeAndAreNotCached) {
+  const Shape invalid[] = {
+      {0, 0, 0.95, 20, 8, EmptySlotModel::kPoissonApprox},   // n = 0
+      {10, 10, 0.95, 20, 8, EmptySlotModel::kPoissonApprox},  // m + 1 > n
+      {10, 1, 0.0, 20, 8, EmptySlotModel::kPoissonApprox},    // alpha = 0
+      {10, 1, 1.0, 20, 8, EmptySlotModel::kPoissonApprox},    // alpha = 1
+      {10, 1, 1.5, 20, 8, EmptySlotModel::kPoissonApprox},    // alpha > 1
+      {10, 1, std::nan(""), 20, 8, EmptySlotModel::kPoissonApprox},
+      // Satisfiable by no frame up to kMaxFrameSize.
+      {10, 0, 1.0 - 1e-16, 20, 8, EmptySlotModel::kPoissonApprox},
+  };
+  for (const Shape& s : invalid) {
+    for (int call = 0; call < 2; ++call) {
+      const UtrpPlanMemoStats before = utrp_plan_memo_stats();
+      EXPECT_THROW((void)memoized(s), std::invalid_argument)
+          << "n=" << s.n << " m=" << s.m << " alpha=" << s.alpha
+          << " call " << call;
+      const UtrpPlanMemoStats after = utrp_plan_memo_stats();
+      EXPECT_EQ(after.entries, before.entries);
+      EXPECT_EQ(after.hits, before.hits);
+    }
+  }
+}
+
+TEST(UtrpPlanMemo, AlphasOneUlpApartAreSeparateEntries) {
+  evict_all();
+  const Shape lo{200, 2, 0.95, 20, 8, EmptySlotModel::kPoissonApprox};
+  Shape hi = lo;
+  hi.alpha = std::nextafter(lo.alpha, 1.0);
+  ASSERT_NE(hi.alpha, lo.alpha);
+
+  const std::uint64_t misses = utrp_plan_memo_stats().misses;
+  (void)memoized(lo);
+  (void)memoized(hi);
+  EXPECT_EQ(utrp_plan_memo_stats().misses, misses + 2);
+  const std::uint64_t hits = utrp_plan_memo_stats().hits;
+  EXPECT_TRUE(same_bits(memoized(lo), oracle(lo)));
+  EXPECT_TRUE(same_bits(memoized(hi), oracle(hi)));
+  EXPECT_EQ(utrp_plan_memo_stats().hits, hits + 2);
+  EXPECT_EQ(utrp_plan_memo_stats().misses, misses + 2);
+}
+
+TEST(UtrpPlanMemo, ConcurrentCallersAllGetTheOraclePlan) {
+  constexpr std::size_t kThreads = 8;
+  constexpr int kPasses = 4;
+  // Shapes every thread sizes, plus two of each thread's own.
+  std::vector<Shape> shared;
+  for (const std::uint64_t n : {64u, 200u}) {
+    for (const std::uint64_t m : {1u, 2u}) {
+      shared.push_back({n, m, 0.97, 20, 8, EmptySlotModel::kPoissonApprox});
+    }
+  }
+  std::vector<std::vector<Shape>> own(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    own[t] = {fresh_shape(), fresh_shape()};
+  }
+  std::vector<UtrpPlan> shared_truth;
+  for (const Shape& s : shared) shared_truth.push_back(oracle(s));
+  std::vector<std::vector<UtrpPlan>> own_truth(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (const Shape& s : own[t]) own_truth[t].push_back(oracle(s));
+  }
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t i = 0; i < shared.size(); ++i) {
+          // Stagger the order so threads miss and hit the same keys at once.
+          const std::size_t k = (i + t) % shared.size();
+          if (!same_bits(memoized(shared[k]), shared_truth[k])) ++wrong;
+        }
+        for (std::size_t i = 0; i < own[t].size(); ++i) {
+          if (!same_bits(memoized(own[t][i]), own_truth[t][i])) ++wrong;
+        }
+        (void)utrp_plan_memo_stats();  // counter reads race the writes too
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(utrp_plan_memo_stats().entries, UtrpPlanMemoStats::kCapacity);
+}
+
+TEST(UtrpPlanMemo, StaysWithinCapacityAndCorrectPastIt) {
+  const Shape first{200, 1, 0.96, 20, 8, EmptySlotModel::kPoissonApprox};
+  const UtrpPlan truth = oracle(first);
+  EXPECT_TRUE(same_bits(memoized(first), truth));
+
+  std::vector<Shape> inserted;
+  for (std::size_t i = 0; i < UtrpPlanMemoStats::kCapacity + 100; ++i) {
+    inserted.push_back(fresh_shape());
+    (void)memoized(inserted.back());
+    ASSERT_LE(utrp_plan_memo_stats().entries, UtrpPlanMemoStats::kCapacity);
+  }
+  EXPECT_EQ(utrp_plan_memo_stats().entries, UtrpPlanMemoStats::kCapacity);
+
+  // Evicted or held, every shape still sizes to the oracle's plan.
+  EXPECT_TRUE(same_bits(memoized(first), truth));
+  for (std::size_t i = 0; i < inserted.size(); i += 97) {
+    EXPECT_TRUE(same_bits(memoized(inserted[i]), oracle(inserted[i])));
+  }
+  EXPECT_LE(utrp_plan_memo_stats().entries, UtrpPlanMemoStats::kCapacity);
 }
 
 // Parameterized sweep over the paper's full evaluation grid: both optimizers

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "fleet/fleet.h"
+#include "math/frame_optimizer.h"
 #include "obs/metrics.h"
 #include "service/client.h"
 #include "service/service.h"
@@ -102,6 +103,37 @@ TEST(ServiceSession, HelloEnrollRunIntact) {
   EXPECT_EQ(stats.admitted, 1u);
   EXPECT_EQ(stats.runs_completed, 1u);
   EXPECT_TRUE(stats.drained_cleanly);
+}
+
+TEST(ServiceSession, RepeatUtrpRunsSolveEq3Once) {
+  MonitorService svc{ServiceConfig{}};
+  svc.start();
+  ServiceClient client(svc.port());
+  (void)client.hello("acme");
+  EnrollRequest enroll = small_inventory("utrp");  // two zones, one shape
+  enroll.protocol = static_cast<std::uint8_t>(fleet::Protocol::kUtrp);
+  // A shape nothing earlier in this process sized, even under --gtest_repeat.
+  static int invocation = 0;
+  enroll.alpha = 0.93 + 1e-6 * ++invocation;
+  (void)client.enroll(enroll);
+
+  const std::uint64_t misses = math::utrp_plan_memo_stats().misses;
+  for (const std::uint64_t seed : {7u, 8u}) {
+    StartRunRequest run;
+    run.inventory = "utrp";
+    run.seed = seed;
+    const service::StartOutcome outcome = client.start_run(run);
+    ASSERT_TRUE(outcome.admitted.has_value());
+    const service::RunOutcome result =
+        client.await_verdict(outcome.admitted->run_id);
+    EXPECT_EQ(result.verdict.verdict,
+              static_cast<std::uint8_t>(fleet::GlobalVerdict::kIntact));
+  }
+  EXPECT_EQ(math::utrp_plan_memo_stats().misses, misses + 1);
+
+  client.goodbye();
+  const service::ServiceStats stats = svc.stop();
+  EXPECT_EQ(stats.runs_completed, 2u);
 }
 
 TEST(ServiceSession, SecondHelloIsRejectedAndSessionSurvives) {
